@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// benchRecord is one row of BENCH_core.json.
+// benchRecord is one row of the JSON file TestWriteBenchJSON writes
+// (BENCH_PR7.json under make bench-kernel).
 type benchRecord struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`

@@ -187,13 +187,18 @@ type Observation struct {
 }
 
 // Observe computes the Observation at rate vector r. The returned
-// Observation is freshly allocated and owned by the caller; its queue
-// rows share one backing array. Hot loops that observe repeatedly
-// should hold a Workspace and use Workspace.Observe instead.
+// Observation is freshly allocated and owned by the caller: it is
+// computed on a pooled workspace and copied out, with one backing
+// array per field (queue rows share one, bottleneck rows another).
+// Hot loops that observe repeatedly should hold a Workspace and use
+// Workspace.Observe instead.
 func (s *System) Observe(r []float64) (*Observation, error) {
-	// A throwaway workspace: the caller keeps its Observation, so it
-	// cannot come from the pool.
-	return s.NewWorkspace().Observe(r)
+	w := s.acquire()
+	defer s.release(w)
+	if err := w.observe(r); err != nil {
+		return nil, err
+	}
+	return w.snapshot(), nil
 }
 
 // Step applies one synchronous update r' = max(0, r + f(r, b, d)).
@@ -412,12 +417,14 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 		}
 	}
 	res.Rates = r
-	final, err := s.Observe(r)
-	if err != nil {
+	// The final observation is taken on the run's own workspace (with
+	// the plan's μ: a hook's capacity override lasts one step) and
+	// copied out, since the caller keeps it.
+	if err := ws.observe(r); err != nil {
 		return nil, err
 	}
-	res.Final = final
-	finalResid := s.residualFrom(r, final)
+	res.Final = ws.snapshot()
+	finalResid := s.residualFrom(r, res.Final)
 	res.Stats.observe(finalResid, res.Steps == 0)
 	res.Stats.FinalResidual = finalResid
 	res.Stats.Steps = res.Steps

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/nettheory/feedbackflow/internal/order"
 	"github.com/nettheory/feedbackflow/internal/queueing"
 	"github.com/nettheory/feedbackflow/internal/signal"
 )
@@ -33,6 +34,7 @@ type Workspace struct {
 
 	scr    queueing.Scratch // discipline sort/prefix scratch (sized to the largest gateway)
 	sigScr signal.Scratch   // batched-signal sort/prefix scratch (same sizing)
+	ord    order.Scratch    // radix buffers both scratches share (empty below order.Cutoff)
 	obs    Observation
 
 	// muOverride, when non-nil, replaces the plan's per-gateway
@@ -48,12 +50,13 @@ type Workspace struct {
 // column — rates, queues, sojourns, signals, the bottleneck index rows
 // — lives in one flat contiguous backing array per field (structure of
 // arrays), and the discipline and signal sort scratches are pre-grown
-// to the largest gateway population, all sized from the compiled plan
-// here. Subsequent Observe/Step calls therefore allocate nothing at
-// all, first call included, and the step kernel streams each column
-// cache-linearly. The workspace's queue rows (obs.Queues[a]) and
-// bottleneck rows (obs.Bottlenecks[i]) are views into those backing
-// arrays, established once and reused by every call.
+// to the largest gateway population (sharing one set of radix
+// buffers), all sized from the compiled plan here. Subsequent
+// Observe/Step calls therefore allocate nothing at all, first call
+// included, and the step kernel streams each column cache-linearly.
+// The workspace's queue rows (obs.Queues[a]) and bottleneck rows
+// (obs.Bottlenecks[i]) are views into those backing arrays,
+// established once and reused by every call.
 func (s *System) NewWorkspace() *Workspace {
 	p := &s.plan
 	total := p.off[p.nGws]
@@ -72,6 +75,8 @@ func (s *System) NewWorkspace() *Workspace {
 			Bottlenecks: make([][]int, p.nConns),
 		},
 	}
+	w.scr.ShareSort(&w.ord)
+	w.sigScr.ShareSort(&w.ord)
 	w.scr.Grow(p.maxGw)
 	w.sigScr.Grow(p.maxGw)
 	for a := 0; a < p.nGws; a++ {
@@ -131,7 +136,10 @@ func (w *Workspace) observe(r []float64) error {
 		if err := queueing.ObserveInto(s.disc, w.queues[lo:hi], w.sojourns[lo:hi], local, mu[a], &w.scr); err != nil {
 			return fmt.Errorf("core: gateway %d: %w", a, err)
 		}
-		if err := signal.GatewaySignalsBatched(w.signals[lo:hi], s.style, s.b, w.queues[lo:hi], &w.sigScr); err != nil {
+		// The discipline's rate order is the queue order whenever the
+		// queues are strictly monotone in it; the signal kernel checks
+		// that and sorts otherwise.
+		if err := signal.GatewaySignalsOrdered(w.signals[lo:hi], s.style, s.b, w.queues[lo:hi], w.scr.Order(), &w.sigScr); err != nil {
 			return fmt.Errorf("core: gateway %d: %w", a, err)
 		}
 	}
@@ -161,6 +169,35 @@ func (w *Workspace) observe(r []float64) error {
 		w.obs.Bottlenecks[i] = bn
 	}
 	return nil
+}
+
+// snapshot copies the workspace's observation into freshly allocated,
+// caller-owned slices: one backing array per field, rows as capped
+// views into it, so appending to a row can never spill into the next.
+func (w *Workspace) snapshot() *Observation {
+	p := &w.sys.plan
+	o := &Observation{
+		Signals:     append([]float64(nil), w.obs.Signals...),
+		Delays:      append([]float64(nil), w.obs.Delays...),
+		Queues:      make([][]float64, p.nGws),
+		Bottlenecks: make([][]int, p.nConns),
+	}
+	queues := append([]float64(nil), w.queues...)
+	for a := range o.Queues {
+		lo, hi := p.off[a], p.off[a+1]
+		o.Queues[a] = queues[lo:hi:hi]
+	}
+	n := 0
+	for _, row := range w.obs.Bottlenecks {
+		n += len(row)
+	}
+	bn := make([]int, 0, n)
+	for i, row := range w.obs.Bottlenecks {
+		lo := len(bn)
+		bn = append(bn, row...)
+		o.Bottlenecks[i] = bn[lo:len(bn):len(bn)]
+	}
+	return o
 }
 
 // Step applies one synchronous update r' = max(0, r + f(r, b, d)),

@@ -3,10 +3,10 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/nettheory/feedbackflow/internal/core"
 	"github.com/nettheory/feedbackflow/internal/finite"
+	"github.com/nettheory/feedbackflow/internal/order"
 	"github.com/nettheory/feedbackflow/internal/queueing"
 	"github.com/nettheory/feedbackflow/internal/signal"
 )
@@ -17,8 +17,9 @@ import (
 // workspace per goroutine; System.Run draws from the internal pool.
 type workspace struct {
 	// Per-gateway scratch, sized to the largest single gateway.
-	rloc []float64 // member rates, local order
-	idx  []int     // sort permutation
+	rloc []float64     // member rates, local order
+	idx  []int         // sort permutation
+	ord  order.Scratch // radix scratch of the sort
 
 	// Flat per-(gateway, member-class) columns, gateway a's block at
 	// [off[a], off[a+1]).
@@ -35,7 +36,7 @@ type workspace struct {
 
 func (s *System) newWorkspace() *workspace {
 	nC := len(s.weights)
-	return &workspace{
+	w := &workspace{
 		rloc: make([]float64, s.maxGw),
 		idx:  make([]int, s.maxGw),
 		q:    make([]float64, s.total),
@@ -55,6 +56,8 @@ func (s *System) newWorkspace() *workspace {
 		y2:   make([]float64, nC),
 		mid:  make([]float64, nC),
 	}
+	w.ord.Grow(s.maxGw)
+	return w
 }
 
 // derivInto evaluates the fluid drift Φ at the class rate vector r:
@@ -132,7 +135,7 @@ func (s *System) fsObserve(a int, rl, q, soj []float64, w *workspace) {
 	for k := range idx {
 		idx[k] = k
 	}
-	stableSortByVal(idx, rl)
+	order.Stable(idx, rl, &w.ord)
 	wtot := s.gwWeight[a]
 	sumQ := 0.0
 	cum := 0.0       // Σ w·r over classes sorted strictly below
@@ -208,7 +211,10 @@ func (s *System) fifoObserve(a int, rl, q, soj []float64) {
 // signal.GatewaySignalsBatched: aggregate congestion is the weighted
 // queue total; individual congestion sorts classes by queue and reads
 // C_c = Σ_{below} w·q + W_remaining·q_c from the running prefix, which
-// reproduces Σ_k min(Q_k, Q_c) over the expanded population.
+// reproduces Σ_k min(Q_k, Q_c) over the expanded population. Under
+// Fair Share, w.idx still holds fsObserve's rate order, which is the
+// queue order whenever it passes order.IsStrict — the same reuse as
+// signal.GatewaySignalsOrdered — so the sort runs only on a miss.
 //
 //ffc:hotpath
 func (s *System) signalsInto(a int, sig, q []float64, w *workspace) {
@@ -226,10 +232,12 @@ func (s *System) signalsInto(a int, sig, q []float64, w *workspace) {
 	}
 	n := len(q)
 	idx := w.idx[:n]
-	for k := range idx {
-		idx[k] = k
+	if !s.fairshare || !order.IsStrict(idx, q) {
+		for k := range idx {
+			idx[k] = k
+		}
+		order.Stable(idx, q, &w.ord)
 	}
-	stableSortByVal(idx, q)
 	wtot := s.gwWeight[a]
 	cum := 0.0
 	processed := 0.0
@@ -240,21 +248,6 @@ func (s *System) signalsInto(a int, sig, q []float64, w *workspace) {
 		cum += wc * qi
 		processed += wc
 	}
-}
-
-// stableSortByVal stably sorts indices by ascending value without
-// allocating (+Inf sorts last, which is exactly what the overload
-// latches rely on).
-func stableSortByVal(idx []int, v []float64) {
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case v[a] < v[b]:
-			return -1
-		case v[a] > v[b]:
-			return 1
-		}
-		return 0
-	})
 }
 
 // checkRates validates a caller-supplied rate vector at the Run and

@@ -119,6 +119,7 @@ var detPackages = map[string]bool{
 	modulePath + "/internal/dynamics":  true,
 	modulePath + "/internal/fault":     true,
 	modulePath + "/internal/fluid":     true,
+	modulePath + "/internal/order":     true,
 	modulePath + "/internal/recovery":  true,
 	modulePath + "/internal/scenario":  true,
 	modulePath + "/internal/runcache":  true,

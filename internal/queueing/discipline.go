@@ -18,7 +18,8 @@ package queueing
 import (
 	"fmt"
 	"math"
-	"slices"
+
+	"github.com/nettheory/feedbackflow/internal/order"
 )
 
 // Discipline computes steady-state per-connection queue statistics for
@@ -98,14 +99,16 @@ func TotalQueue(r []float64, mu float64) (float64, error) {
 }
 
 // Scratch holds the reusable working storage an InPlace discipline
-// needs between calls: a sort-order buffer and two float64 buffers.
-// The zero value is ready to use; buffers grow on demand and are then
-// reused, so steady-state evaluation performs no allocations. A
-// Scratch is not safe for concurrent use — give each goroutine its
-// own.
+// needs between calls: a sort-order buffer, two float64 buffers and
+// the radix scratch of the shared sort. The zero value is ready to
+// use; buffers grow on demand and are then reused, so steady-state
+// evaluation performs no allocations. A Scratch is not safe for
+// concurrent use — give each goroutine its own.
 type Scratch struct {
 	idx    []int
 	f1, f2 []float64
+	ord    *order.Scratch // radix scratch; nil until a gateway reaches order.Cutoff
+	sorted bool           // idx holds the rate order of the last evaluation
 }
 
 // Grow pre-sizes the scratch for an n-connection gateway, so that
@@ -114,6 +117,12 @@ type Scratch struct {
 // exists for callers — core.Workspace — that size all hot columns at
 // plan-compile time.
 func (s *Scratch) Grow(n int) { s.grow(n) }
+
+// ShareSort makes the scratch sort with o, which the caller may share
+// with other kernels (signal.Scratch.ShareSort) evaluated on the same
+// goroutine: the sorts run one at a time, so one set of radix buffers
+// serves them all.
+func (s *Scratch) ShareSort(o *order.Scratch) { s.ord = o }
 
 // grow sizes the scratch buffers for an n-connection gateway.
 func (s *Scratch) grow(n int) {
@@ -125,6 +134,26 @@ func (s *Scratch) grow(n int) {
 	s.idx = s.idx[:n]
 	s.f1 = s.f1[:n]
 	s.f2 = s.f2[:n]
+	if n >= order.Cutoff {
+		if s.ord == nil {
+			s.ord = new(order.Scratch)
+		}
+		s.ord.Grow(n)
+	}
+}
+
+// Order returns the permutation that sorted the rates of the last
+// queueing.ObserveInto call on this scratch — 0..n−1 stably ordered by
+// ascending rate — or nil when that call's discipline did not sort.
+// Fair Share queues are non-decreasing in the rates, so this is
+// usually also the queue order the individual congestion measure
+// needs (signal.GatewaySignalsOrdered verifies it before use). The
+// slice is owned by the scratch and overwritten by the next call.
+func (s *Scratch) Order() []int {
+	if !s.sorted {
+		return nil
+	}
+	return s.idx
 }
 
 // order fills s.idx with 0..n-1 stably sorted by ascending rate — the
@@ -135,24 +164,9 @@ func (s *Scratch) order(r []float64) []int {
 	for i := range s.idx {
 		s.idx[i] = i
 	}
-	stableSortByRate(s.idx, r)
+	order.Stable(s.idx, r, s.ord)
+	s.sorted = true
 	return s.idx
-}
-
-// stableSortByRate stably sorts connection indices by ascending rate
-// without allocating. Stability makes the ordering — and therefore
-// every downstream queue value — identical to the sort.SliceStable
-// call in the allocating Queues methods.
-func stableSortByRate(idx []int, r []float64) {
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case r[a] < r[b]:
-			return -1
-		case r[a] > r[b]:
-			return 1
-		}
-		return 0
-	})
 }
 
 // InPlace is implemented by disciplines that can evaluate their queue
@@ -173,7 +187,8 @@ type InPlace interface {
 // allocation; any other Discipline falls back to the allocating
 // methods with results copied into the buffers, so callers get one
 // uniform zero-garbage entry point either way (modulo the fallback's
-// own allocations).
+// own allocations). Afterwards scr.Order() reports the rate order the
+// discipline sorted, if it sorted.
 //
 // The ffc:hotpath directive marks the zero-allocation contract; the
 // hotalloc analyzer rejects allocating constructs in functions
@@ -183,6 +198,9 @@ type InPlace interface {
 func ObserveInto(d Discipline, q, w, r []float64, mu float64, scr *Scratch) error {
 	if len(q) != len(r) || len(w) != len(r) {
 		return fmt.Errorf("queueing: buffers %d/%d for %d rates", len(q), len(w), len(r))
+	}
+	if scr != nil {
+		scr.sorted = false
 	}
 	if ip, ok := d.(InPlace); ok {
 		return ip.ObserveInto(q, w, r, mu, scr)

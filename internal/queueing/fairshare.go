@@ -1,6 +1,10 @@
 package queueing
 
-import "math"
+import (
+	"math"
+
+	"github.com/nettheory/feedbackflow/internal/order"
+)
 
 // FairShare is the service discipline of Section 2.2 (introduced in
 // [She89]): a preemptive priority discipline in which each
@@ -148,7 +152,7 @@ func NewPriorityRows(r []float64) *PriorityRows {
 	for i := range it.perm {
 		it.perm[i] = i
 	}
-	stableSortByRate(it.perm, r)
+	order.Stable(it.perm, r, new(order.Scratch))
 	for pos, i := range it.perm {
 		it.sorted[pos] = r[i]
 	}

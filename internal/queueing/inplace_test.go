@@ -3,7 +3,10 @@ package queueing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/nettheory/feedbackflow/internal/order"
 )
 
 // inPlaceDisciplines are the disciplines with allocation-free paths;
@@ -141,5 +144,63 @@ func TestObserveIntoFallback(t *testing.T) {
 		if !sameFloat(q[i], qWant[i]) || !sameFloat(w[i], wWant[i]) {
 			t.Fatalf("fallback mismatch at %d: q=%v w=%v want q=%v w=%v", i, q[i], w[i], qWant[i], wWant[i])
 		}
+	}
+}
+
+// TestScratchOrder pins Scratch.Order: after a Fair Share evaluation
+// it is the comparator stable rate order — on both sides of the
+// shared sort's insertion/radix cutoff, with ties and zero rates — and
+// after a discipline that does not sort (FIFO, the copy fallback) it
+// is nil, never a stale order from an earlier call.
+func TestScratchOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	type bare struct{ Discipline }
+	scr := new(Scratch)
+	for _, n := range []int{1, 7, order.Cutoff - 1, order.Cutoff, 3 * order.Cutoff} {
+		r := make([]float64, n)
+		for i := range r {
+			switch rng.Intn(4) {
+			case 0:
+				r[i] = 0
+			case 1:
+				r[i] = 0.5 / float64(n) // a tie block
+			default:
+				r[i] = rng.Float64() / float64(n)
+			}
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int {
+			switch {
+			case r[a] < r[b]:
+				return -1
+			case r[a] > r[b]:
+				return 1
+			}
+			return 0
+		})
+		q := make([]float64, n)
+		w := make([]float64, n)
+		for _, d := range []Discipline{FairShare{}, NonPreemptiveFairShare{}} {
+			if err := ObserveInto(d, q, w, r, 1, scr); err != nil {
+				t.Fatal(err)
+			}
+			if got := scr.Order(); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: Order() = %v, want the stable rate order %v", d.Name(), n, got, want)
+			}
+		}
+		for _, d := range []Discipline{FIFO{}, bare{FairShare{}}} {
+			if err := ObserveInto(d, q, w, r, 1, scr); err != nil {
+				t.Fatal(err)
+			}
+			if got := scr.Order(); got != nil {
+				t.Fatalf("%s n=%d: Order() = %v after a call that did not sort, want nil", d.Name(), n, got)
+			}
+		}
+	}
+	if got := new(Scratch).Order(); got != nil {
+		t.Fatalf("zero Scratch: Order() = %v, want nil", got)
 	}
 }

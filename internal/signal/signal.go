@@ -8,7 +8,8 @@ package signal
 import (
 	"fmt"
 	"math"
-	"slices"
+
+	"github.com/nettheory/feedbackflow/internal/order"
 )
 
 // Func is a congestion signal function B. The paper requires B to be
@@ -194,14 +195,15 @@ func IndividualCongestion(q []float64, i int) float64 {
 }
 
 // Scratch holds the reusable working storage of the batched
-// individual-feedback kernel: a queue-sort permutation and a
-// congestion buffer. The zero value is ready to use; buffers grow on
-// demand and are then reused, so steady-state evaluation performs no
-// allocations. A Scratch is not safe for concurrent use — give each
-// goroutine its own.
+// individual-feedback kernel: a queue-sort permutation, a congestion
+// buffer and the radix scratch of the shared sort. The zero value is
+// ready to use; buffers grow on demand and are then reused, so
+// steady-state evaluation performs no allocations. A Scratch is not
+// safe for concurrent use — give each goroutine its own.
 type Scratch struct {
 	idx []int
 	c   []float64
+	ord *order.Scratch // radix scratch; nil until a gateway reaches order.Cutoff
 }
 
 // Grow pre-sizes the scratch for an n-connection gateway, so that
@@ -215,33 +217,34 @@ func (s *Scratch) Grow(n int) {
 	}
 	s.idx = s.idx[:n]
 	s.c = s.c[:n]
+	if n >= order.Cutoff {
+		if s.ord == nil {
+			s.ord = new(order.Scratch)
+		}
+		s.ord.Grow(n)
+	}
 }
 
-// order fills s.idx with 0..n-1 stably sorted by ascending queue
-// length and returns it.
-func (s *Scratch) order(q []float64) []int {
+// ShareSort makes the scratch sort with o, which the caller may share
+// with other kernels (queueing.Scratch.ShareSort) evaluated on the same
+// goroutine: the sorts run one at a time, so one set of radix buffers
+// serves them all.
+func (s *Scratch) ShareSort(o *order.Scratch) { s.ord = o }
+
+// order returns the stable ascending queue order of q: hint itself
+// when it already is that order (order.IsStrict), otherwise s.idx
+// sorted afresh. +Inf queues sort last, which is exactly where the
+// prefix-sum congestion form needs them.
+func (s *Scratch) order(q []float64, hint []int) []int {
 	s.Grow(len(q))
+	if hint != nil && order.IsStrict(hint, q) {
+		return hint
+	}
 	for i := range s.idx {
 		s.idx[i] = i
 	}
-	stableSortByQueue(s.idx, q)
+	order.Stable(s.idx, q, s.ord)
 	return s.idx
-}
-
-// stableSortByQueue stably sorts connection indices by ascending queue
-// length without allocating (same pattern as queueing's
-// stableSortByRate). +Inf queues sort last, which is exactly where the
-// prefix-sum congestion form needs them.
-func stableSortByQueue(idx []int, q []float64) {
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case q[a] < q[b]:
-			return -1
-		case q[a] > q[b]:
-			return 1
-		}
-		return 0
-	})
 }
 
 // IndividualCongestionInto writes C_i = Σ_k min(Q_k, Q_i) for every
@@ -263,6 +266,14 @@ func stableSortByQueue(idx []int, q []float64) {
 //
 //ffc:hotpath
 func IndividualCongestionInto(c, q []float64, scr *Scratch) error {
+	return individualCongestionInto(c, q, nil, scr)
+}
+
+// individualCongestionInto is IndividualCongestionInto with a
+// candidate queue order (see GatewaySignalsOrdered).
+//
+//ffc:hotpath
+func individualCongestionInto(c, q []float64, hint []int, scr *Scratch) error {
 	if len(c) != len(q) {
 		return fmt.Errorf("signal: %d-slot buffer for %d queues", len(c), len(q))
 	}
@@ -270,7 +281,7 @@ func IndividualCongestionInto(c, q []float64, scr *Scratch) error {
 		checkCongestion(qk)
 	}
 	n := len(q)
-	idx := scr.order(q)
+	idx := scr.order(q, hint)
 	cum := 0.0 // Σ of sorted queues strictly below this position
 	for pos, i := range idx {
 		qi := q[i]
@@ -325,10 +336,27 @@ func GatewaySignalsInto(out []float64, style Style, b Func, q []float64) error {
 // pass from O(N²) to O(N log N). The aggregate style is bit-identical
 // to GatewaySignalsInto; the individual style agrees within the
 // summation-reordering tolerance documented in docs/PERFORMANCE.md.
-// This is the variant the core step kernel calls every iteration.
+// It is GatewaySignalsOrdered without an order hint.
 //
 //ffc:hotpath
 func GatewaySignalsBatched(out []float64, style Style, b Func, q []float64, scr *Scratch) error {
+	return GatewaySignalsOrdered(out, style, b, q, nil, scr)
+}
+
+// GatewaySignalsOrdered is GatewaySignalsBatched with a candidate
+// queue order: under individual feedback, when hint is the stable
+// ascending order of q (checked in O(N) by order.IsStrict), the sweep
+// walks it and the sort is skipped. Any other hint — nil, the wrong
+// length, out of order, tied queues not in index order (rounding ties
+// and a +Inf overload tail produce these) — falls back to sorting, so
+// the signals are bit-identical to the nil-hint call whatever the hint.
+// The step kernel passes the Fair Share rate order
+// (queueing.Scratch.Order): Fair Share queues are non-decreasing in
+// the rates, so the check usually passes and each gateway step sorts
+// once instead of twice.
+//
+//ffc:hotpath
+func GatewaySignalsOrdered(out []float64, style Style, b Func, q []float64, hint []int, scr *Scratch) error {
 	if len(out) != len(q) {
 		return fmt.Errorf("signal: %d-slot buffer for %d queues", len(out), len(q))
 	}
@@ -341,7 +369,7 @@ func GatewaySignalsBatched(out []float64, style Style, b Func, q []float64, scr 
 	case Individual:
 		scr.Grow(len(q))
 		c := scr.c
-		if err := IndividualCongestionInto(c, q, scr); err != nil {
+		if err := individualCongestionInto(c, q, hint, scr); err != nil {
 			return err
 		}
 		for i, ci := range c {
